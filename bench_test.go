@@ -9,6 +9,7 @@ package quantumdd_test
 import (
 	"io"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"quantumdd/internal/algorithms"
@@ -294,4 +295,41 @@ func BenchmarkMicroRenderQFT(b *testing.B) {
 		g := vis.FromMatrix(u)
 		_ = g.SVG(vis.Style{Mode: vis.Colored})
 	}
+}
+
+// BenchmarkMicroRenderFrames times vis.FrameSVG (layout and markup) at
+// the frame sizes the web tool serves, in Classic style with a
+// caption: the 1365-node QFT(6) functionality of the verification tab
+// and every state of a QFT(8) simulation stepped op by op.
+func BenchmarkMicroRenderFrames(b *testing.B) {
+	style := vis.Style{Mode: vis.Classic}
+	b.Run("QFT6Matrix", func(b *testing.B) {
+		u, _, err := verify.BuildFunctionality(dd.New(6), algorithms.QFT(6))
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := vis.FromMatrix(u)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = vis.FrameSVG(g, style, "functionality of qft_6")
+		}
+	})
+	b.Run("QFT8States", func(b *testing.B) {
+		s := sim.New(algorithms.QFT(8))
+		graphs := []*vis.Graph{vis.FromVector(s.State())}
+		for !s.AtEnd() {
+			if _, err := s.StepForward(); err != nil {
+				b.Fatal(err)
+			}
+			graphs = append(graphs, vis.FromVector(s.State()))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for k, g := range graphs {
+				_ = vis.FrameSVG(g, style, "op "+strconv.Itoa(k))
+			}
+		}
+	})
 }

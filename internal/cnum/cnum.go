@@ -263,11 +263,11 @@ func formatPi(num, den int) string {
 	case den == 1 && num == 1:
 		return sign + "π"
 	case den == 1:
-		return fmt.Sprintf("%s%dπ", sign, num)
+		return sign + strconv.Itoa(num) + "π"
 	case num == 1:
-		return fmt.Sprintf("%sπ/%d", sign, den)
+		return sign + "π/" + strconv.Itoa(den)
 	default:
-		return fmt.Sprintf("%s%dπ/%d", sign, num, den)
+		return sign + strconv.Itoa(num) + "π/" + strconv.Itoa(den)
 	}
 }
 

@@ -17,7 +17,8 @@ func PhaseColor(w complex128) string {
 	}
 	hue := phase / (2 * math.Pi) * 360
 	r, g, b := hlsToRGB(hue, 0.5, 1.0)
-	return fmt.Sprintf("#%02x%02x%02x", r, g, b)
+	const hex = "0123456789abcdef"
+	return string([]byte{'#', hex[r>>4], hex[r&15], hex[g>>4], hex[g&15], hex[b>>4], hex[b&15]})
 }
 
 // hlsToRGB converts hue (degrees), lightness and saturation in [0,1]
@@ -83,20 +84,20 @@ func ColorWheelSVG(size int) string {
 	rInner := rOuter * 0.55
 	const segments = 72
 	var b svgBuilder
-	b.open(float64(size), float64(size))
+	b.open(float64(size), float64(size), "")
 	for i := 0; i < segments; i++ {
 		a0 := float64(i) / segments * 2 * math.Pi
 		a1 := float64(i+1)/segments*2*math.Pi + 0.005
 		color := PhaseColor(cmplx.Exp(complex(0, a0)))
-		p := fmt.Sprintf("M%.2f,%.2f L%.2f,%.2f A%.2f,%.2f 0 0 1 %.2f,%.2f L%.2f,%.2f A%.2f,%.2f 0 0 0 %.2f,%.2f Z",
+		b.buf = fmt.Appendf(b.buf, "<path d=\"M%.2f,%.2f L%.2f,%.2f A%.2f,%.2f 0 0 1 %.2f,%.2f L%.2f,%.2f A%.2f,%.2f 0 0 0 %.2f,%.2f Z\" fill=\"%s\" stroke=\"none\"/>\n",
 			cx+rInner*math.Cos(a0), cy-rInner*math.Sin(a0),
 			cx+rOuter*math.Cos(a0), cy-rOuter*math.Sin(a0),
 			rOuter, rOuter,
 			cx+rOuter*math.Cos(a1), cy-rOuter*math.Sin(a1),
 			cx+rInner*math.Cos(a1), cy-rInner*math.Sin(a1),
 			rInner, rInner,
-			cx+rInner*math.Cos(a0), cy-rInner*math.Sin(a0))
-		fmt.Fprintf(&b.buf, "<path d=\"%s\" fill=\"%s\" stroke=\"none\"/>\n", p, color)
+			cx+rInner*math.Cos(a0), cy-rInner*math.Sin(a0),
+			color)
 	}
 	labels := []struct {
 		angle float64

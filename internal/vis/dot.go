@@ -19,10 +19,13 @@ func (g *Graph) DOT(style Style) string {
 	if g.Root != noNode {
 		b.WriteString("  root [shape=none, label=\"\"];\n")
 	}
-	// Rank groups per level.
-	byLevel := map[int][]NodeID{}
+	// Rank groups per qubit level, emitted root level first so the
+	// output is the same on every call.
+	byLevel := make([][]NodeID, g.Levels)
 	for _, n := range g.Nodes {
-		byLevel[n.Level] = append(byLevel[n.Level], n.ID)
+		if n.Level >= 0 {
+			byLevel[n.Level] = append(byLevel[n.Level], n.ID)
+		}
 	}
 	for _, n := range g.Nodes {
 		if n.Terminal {
@@ -31,8 +34,9 @@ func (g *Graph) DOT(style Style) string {
 			fmt.Fprintf(&b, "  n%d [shape=circle, label=\"%s\"];\n", n.ID, n.Label)
 		}
 	}
-	for level, ids := range byLevel {
-		if len(ids) < 2 || level < 0 {
+	for level := len(byLevel) - 1; level >= 0; level-- {
+		ids := byLevel[level]
+		if len(ids) < 2 {
 			continue
 		}
 		b.WriteString("  { rank=same;")

@@ -8,7 +8,7 @@
 package vis
 
 import (
-	"fmt"
+	"strconv"
 
 	"quantumdd/internal/dd"
 )
@@ -92,7 +92,7 @@ func FromVector(e dd.VEdge) *Graph {
 		g.Nodes = append(g.Nodes, Node{
 			ID:    id,
 			Level: n.V,
-			Label: fmt.Sprintf("q%d", n.V),
+			Label: "q" + strconv.Itoa(n.V),
 			Probs: []float64{prob(n.E[0].W), prob(n.E[1].W)},
 		})
 		ids[n] = id
@@ -138,7 +138,7 @@ func FromMatrix(e dd.MEdge) *Graph {
 		g.Nodes = append(g.Nodes, Node{
 			ID:    id,
 			Level: n.V,
-			Label: fmt.Sprintf("q%d", n.V),
+			Label: "q" + strconv.Itoa(n.V),
 		})
 		ids[n] = id
 		if n.V+1 > g.Levels {

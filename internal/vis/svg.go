@@ -1,9 +1,7 @@
 package vis
 
 import (
-	"fmt"
-	"math"
-	"strings"
+	"unsafe"
 
 	"quantumdd/internal/cnum"
 )
@@ -38,46 +36,118 @@ func (s Style) labels() bool {
 	return s.Mode == Classic
 }
 
-// svgBuilder accumulates SVG markup.
+// svgBuilder appends SVG markup to a byte slice. Numbers go through
+// appendFixed rather than fmt: see appendFixed for why.
 type svgBuilder struct {
-	buf strings.Builder
+	buf []byte
 }
 
-func (b *svgBuilder) open(w, h float64) {
-	fmt.Fprintf(&b.buf, "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"%.0f\" height=\"%.0f\" viewBox=\"0 0 %.0f %.0f\" font-family=\"Helvetica,Arial,sans-serif\">\n", w, h, w, h)
-	fmt.Fprintf(&b.buf, "<rect width=\"100%%\" height=\"100%%\" fill=\"white\"/>\n")
+// open writes the <svg> element, the white background and, when the
+// caption is non-empty, the caption line (e.g. the last executed gate).
+func (b *svgBuilder) open(w, h float64, caption string) {
+	b.str("<svg xmlns=\"http://www.w3.org/2000/svg\"")
+	b.attr("width", w, 0)
+	b.attr("height", h, 0)
+	b.str(" viewBox=\"0 0 ")
+	b.num(w, 0)
+	b.str(" ")
+	b.num(h, 0)
+	b.str("\" font-family=\"Helvetica,Arial,sans-serif\">\n")
+	b.str("<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n")
+	if caption != "" {
+		b.str("<text x=\"8\" y=\"16\" font-size=\"12\" fill=\"#555\">")
+		b.buf = appendEscaped(b.buf, caption)
+		b.str("</text>\n")
+	}
 }
 
-func (b *svgBuilder) close() { b.buf.WriteString("</svg>\n") }
+func (b *svgBuilder) close() { b.str("</svg>\n") }
 
-// String returns the accumulated SVG markup.
-func (b *svgBuilder) String() string { return b.buf.String() }
+// String returns the accumulated markup without copying it; the
+// builder must not be written to afterwards.
+func (b *svgBuilder) String() string { return unsafe.String(unsafe.SliceData(b.buf), len(b.buf)) }
+
+func (b *svgBuilder) str(s string) { b.buf = append(b.buf, s...) }
+
+// num writes v as fmt's %.<prec>f would.
+func (b *svgBuilder) num(v float64, prec int) { b.buf = appendFixed(b.buf, v, prec) }
+
+// attr writes ` name="v"` with v at the given precision.
+func (b *svgBuilder) attr(name string, v float64, prec int) {
+	b.buf = append(b.buf, ' ')
+	b.buf = append(b.buf, name...)
+	b.buf = append(b.buf, '=', '"')
+	b.buf = appendFixed(b.buf, v, prec)
+	b.buf = append(b.buf, '"')
+}
 
 func (b *svgBuilder) line(x1, y1, x2, y2 float64, stroke string, width float64, dashed bool) {
-	dash := ""
+	b.str("<line")
+	b.attr("x1", x1, 1)
+	b.attr("y1", y1, 1)
+	b.attr("x2", x2, 1)
+	b.attr("y2", y2, 1)
+	b.str(" stroke=\"")
+	b.str(stroke)
+	b.str("\"")
+	b.attr("stroke-width", width, 2)
 	if dashed {
-		dash = " stroke-dasharray=\"5,3\""
+		b.str(" stroke-dasharray=\"5,3\"")
 	}
-	fmt.Fprintf(&b.buf, "<line x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" y2=\"%.1f\" stroke=\"%s\" stroke-width=\"%.2f\"%s/>\n", x1, y1, x2, y2, stroke, width, dash)
+	b.str("/>\n")
 }
 
 func (b *svgBuilder) text(x, y float64, s string, size float64, anchor string) {
-	fmt.Fprintf(&b.buf, "<text x=\"%.1f\" y=\"%.1f\" font-size=\"%.0f\" text-anchor=\"%s\">%s</text>\n", x, y, size, anchor, escape(s))
+	b.str("<text")
+	b.attr("x", x, 1)
+	b.attr("y", y, 1)
+	b.attr("font-size", size, 0)
+	b.str(" text-anchor=\"")
+	b.str(anchor)
+	b.str("\">")
+	b.buf = appendEscaped(b.buf, s)
+	b.str("</text>\n")
 }
 
-func escape(s string) string {
-	s = strings.ReplaceAll(s, "&", "&amp;")
-	s = strings.ReplaceAll(s, "<", "&lt;")
-	s = strings.ReplaceAll(s, ">", "&gt;")
-	return s
+// rect writes a rectangle's geometry; the caller closes the element
+// with its paint attributes.
+func (b *svgBuilder) rect(x, y, w, h float64) {
+	b.str("<rect")
+	b.attr("x", x, 1)
+	b.attr("y", y, 1)
+	b.attr("width", w, 1)
+	b.attr("height", h, 1)
+}
+
+// appendEscaped appends s with &, < and > replaced by their entities.
+func appendEscaped(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '&':
+			dst = append(dst, "&amp;"...)
+		case '<':
+			dst = append(dst, "&lt;"...)
+		case '>':
+			dst = append(dst, "&gt;"...)
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
 }
 
 // SVG renders the graph (which must have been laid out by the caller
 // or will be laid out here) in the given style.
-func (g *Graph) SVG(style Style) string {
+func (g *Graph) SVG(style Style) string { return g.svg(style, "") }
+
+// FrameSVG renders a diagram with a caption line above it; exported
+// for the web UI and the animation exporter.
+func FrameSVG(g *Graph, style Style, caption string) string { return g.svg(style, caption) }
+
+func (g *Graph) svg(style Style, caption string) string {
 	w, h := g.Layout()
-	var b svgBuilder
-	b.open(w, h)
+	b := svgBuilder{buf: make([]byte, 0, g.svgSizeHint(style, caption))}
+	b.open(w, h, caption)
 
 	portX := func(n *Node, port, nports int) float64 {
 		span := nodeRadius * 1.6
@@ -91,7 +161,7 @@ func (g *Graph) SVG(style Style) string {
 		if style.labels() && !cnum.IsOne(g.RootWeight, 1e-9) {
 			b.text(rn.X+6, rn.Y-levelGap+14, cnum.FormatComplex(g.RootWeight), 11, "start")
 		}
-		arrowHead(&b, rn.X, rn.Y-nodeRadius-2)
+		b.arrowHead(rn.X, rn.Y-nodeRadius-2)
 	}
 
 	// Edges beneath nodes.
@@ -124,13 +194,13 @@ func (g *Graph) SVG(style Style) string {
 		n := &g.Nodes[i]
 		switch {
 		case n.Terminal:
-			fmt.Fprintf(&b.buf, "<rect x=\"%.1f\" y=\"%.1f\" width=\"%.1f\" height=\"%.1f\" fill=\"white\" stroke=\"black\" stroke-width=\"1.4\"/>\n",
-				n.X-terminalSize/2, n.Y-terminalSize/2, terminalSize, terminalSize)
+			b.rect(n.X-terminalSize/2, n.Y-terminalSize/2, terminalSize, terminalSize)
+			b.str(" fill=\"white\" stroke=\"black\" stroke-width=\"1.4\"/>\n")
 			b.text(n.X, n.Y+4, "1", 12, "middle")
 		case style.Mode == Modern:
 			wBox, hBox := nodeRadius*2.4, nodeRadius*1.8
-			fmt.Fprintf(&b.buf, "<rect x=\"%.1f\" y=\"%.1f\" width=\"%.1f\" height=\"%.1f\" rx=\"8\" fill=\"#eef4ff\" stroke=\"#35507a\" stroke-width=\"1.4\"/>\n",
-				n.X-wBox/2, n.Y-hBox/2, wBox, hBox)
+			b.rect(n.X-wBox/2, n.Y-hBox/2, wBox, hBox)
+			b.str(" rx=\"8\" fill=\"#eef4ff\" stroke=\"#35507a\" stroke-width=\"1.4\"/>\n")
 			b.text(n.X, n.Y-2, n.Label, 11, "middle")
 			// Probability bars for vector nodes: the squared branch
 			// weights (the values the measurement dialog shows).
@@ -138,17 +208,42 @@ func (g *Graph) SVG(style Style) string {
 				barW := wBox/2 - 6
 				for k, p := range n.Probs {
 					x := n.X - wBox/2 + 4 + float64(k)*(barW+4)
-					fmt.Fprintf(&b.buf, "<rect x=\"%.1f\" y=\"%.1f\" width=\"%.1f\" height=\"4\" fill=\"#d4ddec\"/>\n", x, n.Y+5, barW)
-					fmt.Fprintf(&b.buf, "<rect x=\"%.1f\" y=\"%.1f\" width=\"%.1f\" height=\"4\" fill=\"#35507a\"/>\n", x, n.Y+5, barW*clamp01(p))
+					b.bar(x, n.Y+5, barW, "#d4ddec")
+					b.bar(x, n.Y+5, barW*clamp01(p), "#35507a")
 				}
 			}
 		default:
-			fmt.Fprintf(&b.buf, "<circle cx=\"%.1f\" cy=\"%.1f\" r=\"%.1f\" fill=\"white\" stroke=\"black\" stroke-width=\"1.4\"/>\n", n.X, n.Y, nodeRadius)
+			b.str("<circle")
+			b.attr("cx", n.X, 1)
+			b.attr("cy", n.Y, 1)
+			b.attr("r", nodeRadius, 1)
+			b.str(" fill=\"white\" stroke=\"black\" stroke-width=\"1.4\"/>\n")
 			b.text(n.X, n.Y+4, n.Label, 12, "middle")
 		}
 	}
 	b.close()
 	return b.String()
+}
+
+// svgSizeHint estimates the markup size from the element counts, on
+// the high side of typical frames so that one allocation holds the
+// whole document: each cost is an element's markup length at typical
+// coordinate widths, rounded up, with room for a short edge label.
+func (g *Graph) svgSizeHint(style Style, caption string) int {
+	perNode, perEdge := 170, 100
+	if style.Mode == Modern {
+		perNode = 190
+		if g.Kind == KindVector {
+			perNode += 4 * 70 // probability bars
+		}
+	}
+	if style.Mode == Classic {
+		perEdge += 25 // stroke-dasharray
+	}
+	if style.labels() {
+		perEdge += 80
+	}
+	return 512 + 5*len(caption) + perNode*len(g.Nodes) + perEdge*len(g.Edges)
 }
 
 func clamp01(v float64) float64 {
@@ -161,8 +256,23 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-func arrowHead(b *svgBuilder, x, y float64) {
-	fmt.Fprintf(&b.buf, "<path d=\"M%.1f,%.1f l-4,-7 l8,0 Z\" fill=\"black\"/>\n", x, y)
+// bar writes one 4-unit-high bar of the modern style's probability bars.
+func (b *svgBuilder) bar(x, y, w float64, fill string) {
+	b.str("<rect")
+	b.attr("x", x, 1)
+	b.attr("y", y, 1)
+	b.attr("width", w, 1)
+	b.str(" height=\"4\" fill=\"")
+	b.str(fill)
+	b.str("\"/>\n")
+}
+
+func (b *svgBuilder) arrowHead(x, y float64) {
+	b.str("<path d=\"M")
+	b.num(x, 1)
+	b.str(",")
+	b.num(y, 1)
+	b.str(" l-4,-7 l8,0 Z\" fill=\"black\"/>\n")
 }
 
 func edgeColor(s Style, w complex128) string {
@@ -186,29 +296,4 @@ func dashedFor(s Style, w complex128) bool {
 		return false
 	}
 	return !cnum.IsOne(w, 1e-9)
-}
-
-// frameSVG is used by the web layer: it prefixes the diagram with a
-// caption line (e.g. the last executed gate).
-func frameSVG(g *Graph, style Style, caption string) string {
-	svg := g.SVG(style)
-	if caption == "" {
-		return svg
-	}
-	caption = escape(caption)
-	insert := fmt.Sprintf("<text x=\"8\" y=\"16\" font-size=\"12\" fill=\"#555\">%s</text>\n", caption)
-	idx := strings.Index(svg, "/>\n") // after the background rect
-	if idx < 0 {
-		return svg
-	}
-	return svg[:idx+3] + insert + svg[idx+3:]
-}
-
-// FrameSVG renders a diagram with a caption; exported for the web UI
-// and the animation exporter.
-func FrameSVG(g *Graph, style Style, caption string) string { return frameSVG(g, style, caption) }
-
-// ProbabilityOf formats a probability for dialog rendering.
-func ProbabilityOf(p float64) string {
-	return fmt.Sprintf("%.1f%%", math.Round(p*1000)/10)
 }

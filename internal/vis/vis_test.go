@@ -221,6 +221,20 @@ func TestDOTOutput(t *testing.T) {
 	}
 }
 
+func TestDOTDeterministic(t *testing.T) {
+	ghz := algorithms.GHZ(4)
+	g := FromVector(stepState(t, ghz, len(ghz.Ops)))
+	first := g.DOT(Style{Mode: Classic})
+	if n := strings.Count(first, "rank=same"); n < 3 {
+		t.Fatalf("GHZ(4) dot has %d rank groups, want at least 3:\n%s", n, first)
+	}
+	for i := 0; i < 20; i++ {
+		if got := g.DOT(Style{Mode: Classic}); got != first {
+			t.Fatalf("call %d differs from the first:\n%s\nvs\n%s", i, got, first)
+		}
+	}
+}
+
 func TestFrameCaption(t *testing.T) {
 	_, e := bell(t)
 	g := FromVector(e)
